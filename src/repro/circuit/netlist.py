@@ -9,6 +9,7 @@ that netlist bugs fail at construction, not mid-simulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Set, Union
 
@@ -91,8 +92,8 @@ class SpiceCircuit:
         self._nodes.update(nodes)
 
     def add_resistor(self, name: str, a: str, b: str, r: float) -> None:
-        if r <= 0:
-            raise NetlistError(f"resistor {name!r} must have r > 0")
+        if not math.isfinite(r) or r <= 0:
+            raise NetlistError(f"resistor {name!r} must have finite r > 0")
         if a == b:
             raise NetlistError(f"resistor {name!r} shorts node {a!r}")
         self._register(name, a, b)
@@ -100,8 +101,9 @@ class SpiceCircuit:
 
     def add_capacitor(self, name: str, a: str, c: float,
                       b: str = GND) -> None:
-        if c < 0:
-            raise NetlistError(f"capacitor {name!r} must have c >= 0")
+        if not math.isfinite(c) or c < 0:
+            raise NetlistError(
+                f"capacitor {name!r} must have finite c >= 0")
         if c == 0:
             return  # zero caps are legal no-ops from extraction
         if a == b:
@@ -113,8 +115,8 @@ class SpiceCircuit:
                    source: str, w_um: float) -> None:
         if kind not in (NMOS, PMOS):
             raise NetlistError(f"mosfet {name!r} has unknown kind {kind!r}")
-        if w_um <= 0:
-            raise NetlistError(f"mosfet {name!r} must have w > 0")
+        if not math.isfinite(w_um) or w_um <= 0:
+            raise NetlistError(f"mosfet {name!r} must have finite w > 0")
         if drain == source:
             raise NetlistError(f"mosfet {name!r} shorts drain to source")
         self._register(name, gate, drain, source)
@@ -125,6 +127,9 @@ class SpiceCircuit:
             raise NetlistError("GND is implicitly driven; pick another node")
         if any(s.node == node for s in self.sources):
             raise NetlistError(f"node {node!r} already has a source")
+        if not callable(stimulus) and not math.isfinite(stimulus):
+            raise NetlistError(
+                f"source {name!r} must have a finite value, got {stimulus}")
         self._register(name, node)
         self.sources.append(VSource(name, node, stimulus))
 

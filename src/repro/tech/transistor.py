@@ -10,7 +10,10 @@ apples-to-apples comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import TechnologyError
 from .technology import Technology
@@ -37,9 +40,10 @@ class Transistor:
     def __post_init__(self) -> None:
         if self.kind not in (NMOS, PMOS):
             raise TechnologyError(f"unknown transistor kind {self.kind!r}")
-        if self.w_um <= 0:
+        if not math.isfinite(self.w_um) or self.w_um <= 0:
             raise TechnologyError(
-                f"transistor width must be positive, got {self.w_um}")
+                f"transistor width must be finite and positive, got "
+                f"{self.w_um}")
 
     def r_on(self, tech: Technology) -> float:
         """Effective on-resistance in ohms."""
@@ -76,3 +80,14 @@ class Transistor:
         v_sat = tech.v_sat_frac * tech.vdd
         overdrive = min((v_gs - v_th) / max(v_sat - v_th, 1e-12), 1.0)
         return overdrive / self.r_on(tech)
+
+
+def switch_conductances(drive: np.ndarray, r_on: np.ndarray,
+                        tech: Technology) -> np.ndarray:
+    """:meth:`Transistor.conductance` over arrays of gate drives and
+    on-resistances, element for element and operation for operation, so
+    each entry is bit-identical to the scalar model's."""
+    v_th = tech.v_th
+    v_sat = tech.v_sat_frac * tech.vdd
+    overdrive = np.minimum((drive - v_th) / max(v_sat - v_th, 1e-12), 1.0)
+    return np.where(drive <= v_th, 0.0, overdrive / r_on)

@@ -174,3 +174,48 @@ class TestTransient:
                                                    dt=1 * PS)
         with pytest.raises(SimulationError):
             result.waveform("ghost")
+
+
+NON_FINITE = [float("nan"), float("inf")]
+
+
+class TestNonFiniteRejected:
+    """Non-finite values fail loudly instead of turning into NaN
+    waveforms."""
+
+    @pytest.mark.parametrize("r", NON_FINITE)
+    def test_resistor(self, r):
+        with pytest.raises(NetlistError):
+            SpiceCircuit().add_resistor("r1", "a", "b", r)
+
+    @pytest.mark.parametrize("c", NON_FINITE)
+    def test_capacitor(self, c):
+        with pytest.raises(NetlistError):
+            SpiceCircuit().add_capacitor("c1", "a", c)
+
+    @pytest.mark.parametrize("w_um", NON_FINITE)
+    def test_mosfet_width(self, w_um):
+        with pytest.raises(NetlistError):
+            SpiceCircuit().add_mosfet("m1", "nmos", "g", "d", "s", w_um)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_constant_source(self, value):
+        with pytest.raises(NetlistError):
+            SpiceCircuit().add_vsource("v1", "a", value)
+
+    def test_callable_source_going_non_finite(self, tech):
+        ckt = SpiceCircuit()
+        ckt.add_vsource("vin", "in",
+                        lambda t: float("nan") if t > 50 * PS else 1.0)
+        ckt.add_resistor("r1", "in", "out", 1 * KOHM)
+        ckt.add_capacitor("c1", "out", 10 * FF)
+        with pytest.raises(SimulationError, match="vin"):
+            TransientSimulator(ckt, tech).run(t_stop=0.1 * NS, dt=1 * PS)
+
+    def test_singular_system(self, tech):
+        # A huge floating cap swamps GMIN: the 2x2 free block is exactly
+        # singular in floating point.
+        ckt = SpiceCircuit()
+        ckt.add_capacitor("cf", "a", 1.0, b="b")
+        with pytest.raises(SimulationError, match="singular"):
+            TransientSimulator(ckt, tech).run(t_stop=0.1 * NS, dt=1 * PS)

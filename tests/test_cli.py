@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import _parse_brick_token, build_parser, main
@@ -140,3 +144,21 @@ class TestCommands:
         finally:
             from repro.perf import configure_default_cache
             configure_default_cache()
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        """scipy is only needed by the transient simulator, which
+        imports it when a transient first runs."""
+        import repro
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.serve, repro.explore, repro.signoff\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -1,12 +1,17 @@
 """Property-based tests for circuit engines, LUTs and pareto fronts."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import RCTree, gate_type
+from repro.circuit import GND, RCTree, SpiceCircuit, TransientSimulator
+from repro.circuit import gate_type
 from repro.explore import dominates, pareto_front
 from repro.liberty import LUT2D
+from repro.tech import NMOS, PMOS, Transistor, cmos14, cmos65
 
 _settings = settings(max_examples=50, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -126,3 +131,66 @@ class TestParetoProperties:
     def test_front_idempotent(self, points):
         front = pareto_front(points, lambda p: p)
         assert pareto_front(front, lambda p: p) == front
+
+
+def _critical_voltages(tech):
+    """Drives at and one ulp either side of threshold and saturation."""
+    v_sat = tech.v_sat_frac * tech.vdd
+    return [x for v in (tech.v_th, v_sat)
+            for x in (math.nextafter(v, 0.0), v, math.nextafter(v, 2.0))]
+
+
+@st.composite
+def _devices(draw, tech):
+    """(kind, w_um, v_gate, v_drain, v_source) rows; ``None`` is GND."""
+    critical = _critical_voltages(tech)
+    rail = st.sampled_from([None, 0.0, tech.vdd])
+    level = st.one_of(rail, st.floats(-0.2, tech.vdd + 0.2))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from([NMOS, PMOS]))
+        v_d, v_s = draw(level), draw(level)
+        # Aim the drive at threshold or saturation from the lower
+        # (NMOS) or upper (PMOS) channel terminal, or draw it freely.
+        ref = [0.0 if v is None else v for v in (v_d, v_s)]
+        target = draw(st.sampled_from(critical))
+        v_g = draw(st.one_of(
+            level, st.just(min(ref) + target if kind == NMOS
+                           else max(ref) - target)))
+        rows.append((kind, draw(st.floats(0.05, 4.0)), v_g, v_d, v_s))
+    return rows
+
+
+class TestSwitchConductanceProperties:
+    @given(st.data(), st.sampled_from([cmos65(), cmos14()]))
+    @_settings
+    def test_vectorized_equals_scalar(self, data, tech):
+        """The simulator's array conductances equal
+        :meth:`Transistor.conductance` device by device, bit for bit."""
+        rows = data.draw(_devices(tech))
+        ckt = SpiceCircuit()
+        levels = {}
+        for i, (kind, w_um, *volts) in enumerate(rows):
+            if volts[1] is None and volts[2] is None:
+                volts[2] = 0.0  # drain and source may not both be GND
+            names = [f"g{i}", f"d{i}", f"s{i}"]
+            levels.update((name, v) for name, v in zip(names, volts)
+                          if v is not None)
+            ckt.add_mosfet(f"m{i}", kind, *(
+                GND if v is None else name
+                for name, v in zip(names, volts)), w_um)
+        sim = TransientSimulator(ckt, tech)
+        v = np.zeros(len(ckt.nodes))  # node slots plus the GND slot
+        for node, value in levels.items():
+            v[sim._index[node]] = value
+        got = sim._mos_conductances(v).tolist()
+
+        want = []
+        for mos in ckt.mosfets:
+            v_g, v_d, v_s = (levels.get(n, 0.0)
+                             for n in (mos.gate, mos.drain, mos.source))
+            drive = (v_g - min(v_d, v_s) if mos.kind == NMOS
+                     else max(v_d, v_s) - v_g)
+            want.append(Transistor(mos.kind, mos.w_um).conductance(
+                drive, tech))
+        assert got == want

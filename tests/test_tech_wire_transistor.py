@@ -98,6 +98,11 @@ class TestTransistor:
         with pytest.raises(TechnologyError):
             Transistor(NMOS, 0.0)
 
+    @pytest.mark.parametrize("w_um", [float("nan"), float("inf")])
+    def test_non_finite_width_rejected(self, w_um):
+        with pytest.raises(TechnologyError):
+            Transistor(NMOS, w_um)
+
     def test_leakage_pmos_scaled_down(self, tech):
         n = Transistor(NMOS, 0.2)
         p = Transistor(PMOS, 0.2)
