@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import random
 
@@ -56,16 +56,41 @@ class Defect:
                 f"{DEFECT_KINDS}")
 
 
-def _poisson(rng: random.Random, lam: float) -> int:
+#: Largest Poisson mean the product method draws faithfully.  The
+#: running product of uniforms must stay above ``exp(-lam)`` in normal
+#: doubles; past ~745 that threshold underflows to zero and the count
+#: silently saturates (near 730), so a larger mean is an error instead.
+MAX_POISSON_MEAN = 700.0
+
+
+def _poisson(rng: random.Random, lam: float, mechanism: str) -> int:
     """Knuth's product-of-uniforms Poisson sampler (lam is small)."""
     if lam <= 0.0:
         return 0
+    if lam > MAX_POISSON_MEAN:
+        raise FaultError(
+            f"{mechanism}: expected {lam:.0f} defects per brick exceeds "
+            f"the sampler's limit of {MAX_POISSON_MEAN:.0f}; lower the "
+            f"rate (a brick this defective never yields anyway)")
     threshold = math.exp(-lam)
     count, product = 0, rng.random()
     while product > threshold:
         count += 1
         product *= rng.random()
     return count
+
+
+def _positions(rng: random.Random, lam: float, sites: int,
+               mechanism: str) -> List[int]:
+    """Sorted distinct sites of a Poisson(``lam``) defect count.
+
+    A zero count skips ``rng.sample``, which would draw nothing for it
+    anyway, so the stream position is the same either way.
+    """
+    count = _poisson(rng, lam, mechanism)
+    if not count:
+        return []
+    return sorted(rng.sample(range(sites), min(count, sites)))
 
 
 @dataclass(frozen=True)
@@ -95,28 +120,29 @@ class DefectModel:
 
     def sample(self, spec: BrickSpec,
                rng: random.Random) -> Tuple[Defect, ...]:
-        """Draw one brick's defects.  Deterministic in ``rng`` state."""
+        """Draw one brick's defects.  Deterministic in ``rng`` state.
+
+        Most dies draw four zero counts and build nothing.  A brick of
+        one word has no row pairs: its bridge mean is 0, which draws no
+        randomness at all.
+        """
         defects = []
         n_cells = spec.words * spec.bits
-        for _ in range(min(_poisson(rng, self.p_stuck_at * n_cells),
-                           n_cells)):
+        for _ in range(min(_poisson(rng, self.p_stuck_at * n_cells,
+                                    "stuck_at"), n_cells)):
             cell = rng.randrange(n_cells)
             kind = STUCK_AT_1 if rng.random() < 0.5 else STUCK_AT_0
             defects.append(Defect(kind, row=cell // spec.bits,
                                   bit=cell % spec.bits))
         n_pairs = spec.words - 1
-        lam = self.p_wordline_bridge * n_pairs
-        for pair in sorted(rng.sample(range(n_pairs),
-                                      min(_poisson(rng, lam), n_pairs)) if
-                           n_pairs else []):
+        for pair in _positions(rng, self.p_wordline_bridge * n_pairs,
+                               n_pairs, WORDLINE_BRIDGE):
             defects.append(Defect(WORDLINE_BRIDGE, row=pair))
-        lam = self.p_weak_sense * spec.bits
-        for bit in sorted(rng.sample(range(spec.bits),
-                                     min(_poisson(rng, lam), spec.bits))):
+        for bit in _positions(rng, self.p_weak_sense * spec.bits,
+                              spec.bits, WEAK_SENSE):
             defects.append(Defect(WEAK_SENSE, bit=bit))
-        lam = self.p_open_via * spec.bits
-        for bit in sorted(rng.sample(range(spec.bits),
-                                     min(_poisson(rng, lam), spec.bits))):
+        for bit in _positions(rng, self.p_open_via * spec.bits,
+                              spec.bits, OPEN_VIA):
             defects.append(Defect(OPEN_VIA, bit=bit))
         return tuple(defects)
 

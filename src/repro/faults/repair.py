@@ -57,8 +57,19 @@ class RepairOutcome:
     reason: str = ""
 
 
+#: The outcome of every defect-free brick: it needs no redundancy.
+_CLEAN = RepairOutcome(ok=True)
+
+
 def apply_repair(faulty: FaultyBrick, plan: RepairPlan) -> RepairOutcome:
-    """Allocate the plan's redundancy against one brick's defects."""
+    """Allocate the plan's redundancy against one brick's defects.
+
+    A perfect brick (most dies at production-like rates) returns
+    ``RepairOutcome(ok=True)`` at once, which is what the full
+    allocation gives it.
+    """
+    if not faulty.defects:
+        return _CLEAN
     bad_cols = set(faulty.dead_cols) | set(faulty.weak_cols)
     if len(bad_cols) > plan.spare_cols:
         return RepairOutcome(

@@ -340,6 +340,23 @@ class Tracer:
             self.spans.extend(grafted)
         return grafted
 
+    def evict(self, grafted: Sequence[Span]) -> None:
+        """Drop the spans one earlier :meth:`graft` returned.
+
+        A graft appends its spans as one contiguous run and eviction
+        removes whole runs, so the run is found by its first span —
+        near the front when the oldest graft goes first, which is how
+        a long-lived daemon keeps its trace bounded.
+        """
+        if not grafted:
+            return
+        first = grafted[0]
+        with self._graft_lock:
+            for index, span in enumerate(self.spans):
+                if span is first:
+                    del self.spans[index:index + len(grafted)]
+                    return
+
 
 @contextmanager
 def maybe_span(tracer: Optional[Tracer], name: str, kind: str = "span",

@@ -20,6 +20,7 @@ locally and ``repro client sweep`` printing a fetched artifact emit
 from __future__ import annotations
 
 import copy
+import threading
 import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
@@ -33,14 +34,14 @@ from ..obs.export import span_record
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import render_report
 from ..obs.telemetry import OpsLog, Telemetry
-from ..obs.trace import KIND_REQUEST, TraceContext, Tracer
+from ..obs.trace import KIND_REQUEST, Span, TraceContext, Tracer
 from ..perf.characterize import cached_compile, cached_estimate
 from ..perf.fingerprint import cache_key
 from ..session import Session
 from ..units import format_si
 from .coalesce import RequestCoalescer
 from .protocol import PROTOCOL_VERSION, Request
-from .store import ArtifactStore
+from .store import MAX_TRACED_REQUESTS, ArtifactStore
 
 #: Brick memory types the characterize/yield handlers accept (the same
 #: choices the CLI exposes).
@@ -87,6 +88,10 @@ class ServeContext:
         #: instead of appearing hung.
         self.sweeps: Dict[str, Dict[str, Any]] = {}
         self._sweeps_cap = 64
+        #: Span trees of the most recent requests in the daemon trace,
+        #: oldest first (shared by every :meth:`with_session` view).
+        self.traced_requests: "deque[List[Span]]" = deque()
+        self._trace_lock = threading.Lock()
 
     def with_session(self, session: Session) -> "ServeContext":
         """A shallow view of this context over a different session.
@@ -107,6 +112,21 @@ class ServeContext:
         self.sweeps[fingerprint] = entry
         while len(self.sweeps) > self._sweeps_cap:
             self.sweeps.pop(next(iter(self.sweeps)))
+
+    def graft_request(self, tracer: Tracer, spans: List[Span],
+                      request_id: str) -> None:
+        """Graft one finished request tree into the daemon ``tracer``,
+        evicting the oldest trees beyond
+        :data:`~repro.serve.store.MAX_TRACED_REQUESTS` (counted as
+        ``serve.trace_evictions``) so a long-lived daemon's trace stays
+        bounded."""
+        with self._trace_lock:
+            self.traced_requests.append(
+                tracer.graft(spans, request_id=request_id))
+            while len(self.traced_requests) > MAX_TRACED_REQUESTS:
+                tracer.evict(self.traced_requests.popleft())
+                self.session.metrics.counter(
+                    "serve.trace_evictions").inc()
 
     def cache_marks(self) -> Tuple[int, int]:
         """``(hits, lookups)`` cumulative cache counters — sampled
@@ -674,7 +694,8 @@ def dispatch(ctx: ServeContext, request: Request) -> Dict[str, Any]:
     under the client's span once stitched.  The finished request tree
     is grafted into the daemon tracer with every span tagged
     ``request_id``, which is how ``repro report --request <id>``
-    filters one request out of a busy server's trace.
+    filters one request out of a busy server's trace.  Only the most
+    recent :data:`~repro.serve.store.MAX_TRACED_REQUESTS` trees stay.
     """
     started = time.perf_counter()
     cache_before = ctx.cache_marks()
@@ -700,7 +721,7 @@ def dispatch(ctx: ServeContext, request: Request) -> Dict[str, Any]:
     finally:
         if rtracer is not None:
             rtracer.close(rspan, ok=ok)
-            base.graft(rtracer.spans, request_id=request.id)
+            ctx.graft_request(base, rtracer.spans, request.id)
         ctx.record_request(request, time.perf_counter() - started,
                            coalesced=False, ok=ok,
                            cache_before=cache_before,

@@ -28,6 +28,11 @@ from typing import Any, Dict
 #: points or brick estimates, a few KB each.
 DEFAULT_MAX_ARTIFACTS = 1024
 
+#: Request span trees the daemon's trace retains, oldest evicted
+#: first; at ~15 KB of spans per request that caps the trace at a few
+#: MB however long the daemon serves.
+MAX_TRACED_REQUESTS = 256
+
 
 @dataclass
 class StoreStats:

@@ -35,6 +35,11 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO_UNIT = float(2.0 ** -53)
 
+#: Counters per block of :func:`resample_indices`: its three work
+#: buffers (counters, shift scratch, floats) of 512 KiB each stay in
+#: cache however large the index matrix is.
+BLOCK_COUNTERS = 1 << 16
+
 
 def stream_key(seed: int, salt: str) -> int:
     """A 64-bit stream key from the master seed and a salt string.
@@ -47,11 +52,26 @@ def stream_key(seed: int, salt: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, vectorized over ``uint64`` arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _uniforms_into(key: int, z: np.ndarray, tmp: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Write the uniforms at counters ``z`` into ``out``, in place.
+
+    ``z`` (``uint64``, the counters on entry) and ``tmp`` (same shape)
+    are clobbered.  The steps are the splitmix64 finalizer in the same
+    order as plain array code, so every value is bit-identical to it.
+    """
+    z += np.uint64(1)
+    z *= _GAMMA
+    z += np.uint64(key)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    z >>= np.uint64(11)
+    z += np.uint64(1)
+    np.multiply(z, _TO_UNIT, out=out)
 
 
 def uniforms(key: int, counters: np.ndarray) -> np.ndarray:
@@ -61,10 +81,10 @@ def uniforms(key: int, counters: np.ndarray) -> np.ndarray:
     the result depends only on ``(key, counters[i])``.  The half-open
     interval excludes 0 so ``log(u)`` is always finite.
     """
-    counters = np.asarray(counters, dtype=np.uint64)
-    z = _mix(np.uint64(key) + (counters + np.uint64(1)) * _GAMMA)
-    return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) \
-        * _TO_UNIT
+    z = np.array(counters, dtype=np.uint64)
+    out = np.empty(z.shape, dtype=np.float64)
+    _uniforms_into(key, z, np.empty_like(z), out)
+    return out
 
 
 def normals(key: int, start: int, stop: int,
@@ -96,14 +116,29 @@ def resample_indices(key: int, n_values: int, n_boot: int,
     ``[0, n_values)``, deterministic in ``(key, block)``.
 
     ``block`` offsets the counter space so several independent
-    bootstrap passes (one per metric) can share one key.
+    bootstrap passes (one per metric) can share one key.  The matrix is
+    generated :data:`BLOCK_COUNTERS` counters at a time into reused
+    buffers; each index is the same function of its counter as in a
+    one-shot generation.
     """
     if n_values < 1:
         raise ValueError("need at least one value to resample")
     total = n_boot * n_values
-    offset = np.uint64(block) * np.uint64(0x1000000000)
-    counters = offset + np.arange(total, dtype=np.uint64)
-    u = uniforms(key, counters)
-    # u is in (0, 1]; flip to [0, 1) so the floor never reaches n.
-    idx = np.floor((1.0 - u) * n_values).astype(np.int64)
-    return idx.reshape(n_boot, n_values)
+    out = np.empty(total, dtype=np.int64)
+    step = max(1, min(total, BLOCK_COUNTERS))
+    ramp = np.arange(step, dtype=np.uint64)
+    z = np.empty(step, dtype=np.uint64)
+    tmp = np.empty_like(z)
+    u = np.empty(step, dtype=np.float64)
+    first = block * 0x1000000000
+    for lo in range(0, total, step):
+        m = min(step, total - lo)
+        zb, ub = z[:m], u[:m]
+        np.add(ramp[:m], np.uint64((first + lo) % 2 ** 64), out=zb)
+        _uniforms_into(key, zb, tmp[:m], ub)
+        # u is in (0, 1]; flip to [0, 1) so the floor never reaches n.
+        np.subtract(1.0, ub, out=ub)
+        ub *= n_values
+        np.floor(ub, out=ub)
+        out[lo:lo + m] = ub
+    return out.reshape(n_boot, n_values)

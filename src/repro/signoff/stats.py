@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .rng import resample_indices
+from .rng import BLOCK_COUNTERS, resample_indices
 
 #: Report percentiles (the P50/P95/P99.9 the roadmap asks for).
 PERCENTILES = (50.0, 95.0, 99.9)
@@ -74,9 +74,34 @@ def bootstrap_mean_ci(values: np.ndarray, key: int,
         return {"lo": v, "hi": v}
     if idx is None:
         idx = resample_indices(key, n, n_boot, block=block)
-    means = values[idx].mean(axis=1)
-    lo, hi = np.percentile(means, (2.5, 97.5))
+    if idx.shape[1] != n:
+        raise ValueError(f"resample indices cover {idx.shape[1]} values, "
+                         f"not {n}")
+    lo, hi = np.percentile(_resample_means(values, idx), (2.5, 97.5))
     return {"lo": float(lo), "hi": float(hi)}
+
+
+def _resample_means(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``values[idx].mean(axis=1)``, bit for bit, a few rows at a time.
+
+    ``np.add.reduce`` sums each row pairwise whatever rows surround it,
+    so gathering about :data:`~repro.signoff.rng.BLOCK_COUNTERS`
+    indices at a time into one reused buffer gives the one-shot means
+    without an ``(n_boot, n)`` copy.  ``idx`` must lie in ``[0, n)``, as
+    :func:`~repro.signoff.rng.resample_indices` makes it: the gather
+    does not bounds-check.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n_boot, n = idx.shape
+    rows = max(1, BLOCK_COUNTERS // n)
+    buf = np.empty((min(rows, n_boot), n))
+    sums = np.empty(n_boot)
+    for lo in range(0, n_boot, rows):
+        block = buf[:min(rows, n_boot - lo)]
+        hi = lo + block.shape[0]
+        np.take(values, idx[lo:hi], out=block, mode="clip")
+        np.add.reduce(block, axis=1, out=sums[lo:hi])
+    return sums / n
 
 
 def summarize(values: np.ndarray, key: Optional[int] = None,

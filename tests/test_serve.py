@@ -17,6 +17,8 @@ import pytest
 
 from repro import cli
 from repro.errors import ServeError
+from repro.obs.export import write_trace_jsonl
+from repro.obs.trace import Tracer
 from repro.perf.cache import CharacterizationCache
 from repro.serve import (
     ArtifactStore,
@@ -25,6 +27,9 @@ from repro.serve import (
     ServeClient,
     encode_frame,
 )
+from repro.serve.handlers import ServeContext, dispatch
+from repro.serve.protocol import Request
+from repro.serve.store import MAX_TRACED_REQUESTS
 from repro.session import Session
 from repro.tech import cmos65
 
@@ -531,3 +536,53 @@ class TestCoalescerUnit:
             return await coalescer.run("k", healthy)
 
         assert self._run(main()) == "recovered"
+
+
+class TestDaemonTraceBound:
+    """A long-lived daemon retains the span trees of its most recent
+    requests only, so its trace cannot grow without bound."""
+
+    def test_keeps_most_recent_request_trees(self, tmp_path, capsys):
+        session = Session(cmos65(), jobs=1,
+                          cache=CharacterizationCache(),
+                          tracer=Tracer(source="server"))
+        ctx = ServeContext(session)
+        extra = 40
+        total = MAX_TRACED_REQUESTS + extra
+        for i in range(total):
+            dispatch(ctx, Request(id=f"c{i}", type="ping"))
+        tracer = session.tracer
+        # One serve:ping span per request, oldest trees gone first.
+        assert len(tracer.spans) == MAX_TRACED_REQUESTS
+        assert [s.attrs["request_id"] for s in tracer.spans] == \
+            [f"c{i}" for i in range(extra, total)]
+        tracer.validate()
+        stats = dispatch(ctx, Request(id="s", type="stats"))
+        assert stats["snapshot"]["counters"][
+            "serve.trace_evictions"] == extra
+        path = str(tmp_path / "server.jsonl")
+        write_trace_jsonl(tracer.spans, path, source="server")
+        assert cli.main(["report", path, "--request",
+                         f"c{total - 1}"]) == 0
+        assert "serve:ping" in capsys.readouterr().out
+        assert cli.main(["report", path, "--request", "c0"]) == 0
+        assert "serve:ping" not in capsys.readouterr().out
+
+    def test_evicts_one_whole_graft(self):
+        tracer = Tracer(source="server")
+        root = tracer.open("daemon")
+        blocks = []
+        for n in (3, 2, 4):
+            child = Tracer()
+            with child.span("request"):
+                for _ in range(n - 1):
+                    with child.span("leaf"):
+                        pass
+            blocks.append(tracer.graft(child.spans))
+        tracer.close(root)
+        tracer.evict(blocks[1])
+        assert [s.span_id for s in tracer.spans] == \
+            [root.span_id] + [s.span_id for s in blocks[0] + blocks[2]]
+        tracer.validate()
+        tracer.evict([])
+        assert len(tracer.spans) == 8
