@@ -23,7 +23,10 @@ tightly integrated without requiring extra spacing".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, \
+    Tuple
+
+import numpy as np
 
 from ..errors import PatternError
 
@@ -35,6 +38,16 @@ PERIPHERY = "PH"        #: pitch-matched leaf-cell periphery pattern.
 EMPTY = "--"            #: empty tile (fill); compatible with everything.
 
 _KNOWN_TAGS = (BITCELL, LOGIC_REGULAR, LOGIC_CONVENTIONAL, PERIPHERY, EMPTY)
+#: Tag -> its ``int8`` code in :attr:`PatternGrid.codes`.
+_CODES = {tag: code for code, tag in enumerate(_KNOWN_TAGS)}
+
+
+def _code(tag: str) -> int:
+    """The code of a known tag; :class:`PatternError` for anything else."""
+    try:
+        return _CODES[tag]
+    except (KeyError, TypeError):
+        raise PatternError(f"unknown pattern tag {tag!r}") from None
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,7 @@ class PatternRuleSet:
     def forbid(self, tag_a: str, tag_b: str) -> None:
         """Mark the unordered pair (tag_a, tag_b) as hotspot-forming."""
         for tag in (tag_a, tag_b):
-            if tag not in _KNOWN_TAGS:
-                raise PatternError(f"unknown pattern tag {tag!r}")
+            _code(tag)
         self.incompatible.add(frozenset((tag_a, tag_b)))
 
     def compatible(self, tag_a: str, tag_b: str) -> bool:
@@ -82,46 +94,91 @@ class PatternRuleSet:
             return True
         return frozenset((tag_a, tag_b)) not in self.incompatible
 
+    def matrix(self) -> np.ndarray:
+        """Symmetric boolean hotspot matrix over tag codes.
 
-@dataclass
+        ``matrix()[a, b]`` is true when codes ``a`` and ``b`` may not
+        touch.  Built from ``incompatible`` on every call, so pairs added
+        to the set directly count too; a one-tag pair such as
+        ``forbid(BC, BC)`` sets the diagonal, and ``EMPTY`` never forms a
+        hotspot.
+        """
+        bad = np.zeros((len(_KNOWN_TAGS), len(_KNOWN_TAGS)), dtype=bool)
+        for pair in self.incompatible:
+            if EMPTY in pair or any(tag not in _CODES for tag in pair):
+                continue
+            codes = [_CODES[tag] for tag in pair]
+            bad[codes[0], codes[-1]] = bad[codes[-1], codes[0]] = True
+        return bad
+
+
 class PatternGrid:
     """A rectangular grid of pattern-construct tags.
 
     The grid abstracts a layout at tile granularity: a bitcell is one tile,
     a leaf cell or standard cell occupies one or more tiles.  Rows index
-    from the bottom of the layout.
+    from the bottom of the layout.  Tags are held as ``int8`` codes in
+    :attr:`codes` (a ``rows x cols`` array, index ``_KNOWN_TAGS``), so
+    :meth:`fill` is one slice assignment and :func:`find_hotspots` one
+    matrix lookup per adjacency direction.
     """
 
-    rows: int
-    cols: int
-    tags: List[List[str]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.rows <= 0 or self.cols <= 0:
+    def __init__(self, rows: int, cols: int,
+                 tags: Optional[Sequence[Sequence[str]]] = None) -> None:
+        if rows <= 0 or cols <= 0:
             raise PatternError("pattern grid dimensions must be positive")
-        if not self.tags:
-            self.tags = [[EMPTY] * self.cols for _ in range(self.rows)]
-        if len(self.tags) != self.rows or any(
-                len(row) != self.cols for row in self.tags):
+        self.rows = rows
+        self.cols = cols
+        if tags is None or len(tags) == 0:
+            self.codes = np.full((rows, cols), _CODES[EMPTY], dtype=np.int8)
+            return
+        if len(tags) != rows or any(len(row) != cols for row in tags):
             raise PatternError("tag matrix does not match grid dimensions")
+        self.codes = np.array([[_code(tag) for tag in row] for row in tags],
+                              dtype=np.int8)
+
+    @property
+    def tags(self) -> List[List[str]]:
+        """The tag matrix, row by row (a copy: edit through :meth:`set`)."""
+        return [[_KNOWN_TAGS[code] for code in row]
+                for row in self.codes.tolist()]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PatternGrid):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) \
+            and bool(np.array_equal(self.codes, other.codes))
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self) -> str:
+        return (f"PatternGrid(rows={self.rows!r}, cols={self.cols!r}, "
+                f"tags={self.tags!r})")
 
     def set(self, row: int, col: int, tag: str) -> None:
         """Tag a single tile."""
-        if tag not in _KNOWN_TAGS:
-            raise PatternError(f"unknown pattern tag {tag!r}")
+        code = _code(tag)
         self._check_bounds(row, col)
-        self.tags[row][col] = tag
+        self.codes[row, col] = code
 
     def fill(self, row0: int, col0: int, rows: int, cols: int,
              tag: str) -> None:
-        """Tag a rectangular region of tiles."""
-        for r in range(row0, row0 + rows):
-            for c in range(col0, col0 + cols):
-                self.set(r, c, tag)
+        """Tag a rectangular region of tiles.
+
+        The tag and both corners are checked before anything is written,
+        so a rejected fill leaves the grid unchanged.  An empty region
+        (``rows`` or ``cols`` <= 0) is a no-op.
+        """
+        code = _code(tag)
+        if rows <= 0 or cols <= 0:
+            return
+        self._check_bounds(row0, col0)
+        self._check_bounds(row0 + rows - 1, col0 + cols - 1)
+        self.codes[row0:row0 + rows, col0:col0 + cols] = code
 
     def get(self, row: int, col: int) -> str:
         self._check_bounds(row, col)
-        return self.tags[row][col]
+        return _KNOWN_TAGS[self.codes[row, col]]
 
     def _check_bounds(self, row: int, col: int) -> None:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
@@ -138,25 +195,41 @@ class PatternGrid:
                     yield r, c, r + 1, c
 
     def counts(self) -> Dict[str, int]:
-        """Tile counts per tag (useful in reports and tests)."""
-        result: Dict[str, int] = {}
-        for row in self.tags:
-            for tag in row:
-                result[tag] = result.get(tag, 0) + 1
-        return result
+        """Tile counts per tag present, in row-major order of first use."""
+        codes, first, counts = np.unique(
+            self.codes, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return {_KNOWN_TAGS[code]: count for code, count in
+                zip(codes[order].tolist(), counts[order].tolist())}
 
 
 def find_hotspots(grid: PatternGrid,
                   rules: PatternRuleSet = None) -> List[Hotspot]:
-    """Return every hotspot-forming adjacency in ``grid``."""
+    """Return every hotspot-forming adjacency in ``grid``.
+
+    Hotspots come in row-major tile order and, within a tile, the
+    horizontal pair before the vertical one (the order of
+    :meth:`PatternGrid.adjacencies`).
+    """
     if rules is None:
         rules = PatternRuleSet.default()
-    hotspots = []
-    for r0, c0, r1, c1 in grid.adjacencies():
-        tag_a, tag_b = grid.get(r0, c0), grid.get(r1, c1)
-        if not rules.compatible(tag_a, tag_b):
-            hotspots.append(Hotspot(r0, c0, r1, c1, tag_a, tag_b))
-    return hotspots
+    codes = grid.codes
+    bad = rules.matrix()
+    horizontal = bad[codes[:, :-1], codes[:, 1:]]
+    vertical = bad[codes[:-1, :], codes[1:, :]]
+    if not (horizontal.any() or vertical.any()):
+        return []
+    # Axis 2 is the direction: 0 = right neighbour, 1 = upper neighbour,
+    # so np.nonzero walks tiles row-major, horizontal first.
+    found = np.zeros((grid.rows, grid.cols, 2), dtype=bool)
+    found[:, :-1, 0] = horizontal
+    found[:-1, :, 1] = vertical
+    rows, cols, vert = np.nonzero(found)
+    rows1, cols1 = rows + vert, cols + 1 - vert
+    return [Hotspot(r, c, r1, c1, _KNOWN_TAGS[a], _KNOWN_TAGS[b])
+            for r, c, r1, c1, a, b in zip(
+                rows.tolist(), cols.tolist(), rows1.tolist(), cols1.tolist(),
+                codes[rows, cols].tolist(), codes[rows1, cols1].tolist())]
 
 
 def printability_score(grid: PatternGrid,
@@ -166,7 +239,8 @@ def printability_score(grid: PatternGrid,
     1.0 reproduces Fig. 1a/1c ("no impact on printability"); values below
     1.0 reproduce Fig. 1b.
     """
-    adjacency_count = sum(1 for _ in grid.adjacencies())
+    adjacency_count = (grid.rows * (grid.cols - 1)
+                       + (grid.rows - 1) * grid.cols)
     if adjacency_count == 0:
         return 1.0
     hotspot_count = len(find_hotspots(grid, rules))
